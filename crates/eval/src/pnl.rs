@@ -80,7 +80,7 @@ pub fn evaluate_candidate(
         }
     };
     let mii = ptmap_mapper::mii(&dfg, arch);
-    let (ii, pro_epi) = predictor.predict(&dfg, arch);
+    let (ii, pro_epi) = predictor.predict_with_mii(&dfg, arch, mii);
     let cycle_l = pnl_cycles(candidate.effective_pipelined_tc(), ii, pro_epi);
     let compute = pnl_total_cycles(cycle_l, candidate.effective_folded_tc());
     let profile = MemoryProfiler::new(&candidate.program).profile(&candidate.nest, arch, ii);

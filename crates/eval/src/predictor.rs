@@ -10,6 +10,14 @@ pub trait IiPredictor {
     /// Returns `(ii, pro_epi)`; implementations must return `ii >= 1`.
     fn predict(&self, dfg: &Dfg, arch: &CgraArch) -> (u32, u32);
 
+    /// [`predict`](Self::predict) for a caller that already computed
+    /// `mii = ptmap_mapper::mii(dfg, arch)`. Must return the same
+    /// result; predictors that use the MII override it to skip a
+    /// second computation.
+    fn predict_with_mii(&self, dfg: &Dfg, arch: &CgraArch, _mii: u32) -> (u32, u32) {
+        self.predict(dfg, arch)
+    }
+
     /// A short name for reports.
     fn name(&self) -> &'static str;
 
@@ -54,7 +62,11 @@ impl GnnPredictor {
 
 impl IiPredictor for GnnPredictor {
     fn predict(&self, dfg: &Dfg, arch: &CgraArch) -> (u32, u32) {
-        let input = ptmap_gnn::build_input(dfg, arch);
+        self.predict_with_mii(dfg, arch, ptmap_mapper::mii(dfg, arch))
+    }
+
+    fn predict_with_mii(&self, dfg: &Dfg, arch: &CgraArch, mii: u32) -> (u32, u32) {
+        let input = ptmap_gnn::build_input_with_mii(dfg, arch, mii);
         let p = self.model.predict(&input);
         (p.ii.max(1), p.pro_epi)
     }
@@ -74,7 +86,11 @@ pub struct AnalyticalPredictor;
 
 impl IiPredictor for AnalyticalPredictor {
     fn predict(&self, dfg: &Dfg, arch: &CgraArch) -> (u32, u32) {
-        let ii = ptmap_mapper::mii(dfg, arch).max(1);
+        self.predict_with_mii(dfg, arch, ptmap_mapper::mii(dfg, arch))
+    }
+
+    fn predict_with_mii(&self, dfg: &Dfg, _arch: &CgraArch, mii: u32) -> (u32, u32) {
+        let ii = mii.max(1);
         (ii, dfg.critical_path().saturating_sub(ii))
     }
 
@@ -139,6 +155,22 @@ mod tests {
         let (ii_a, _) = AnalyticalPredictor.predict(&d, &arch);
         let (ii_o, _) = OraclePredictor::default().predict(&d, &arch);
         assert!(ii_o >= ii_a);
+    }
+
+    #[test]
+    fn predict_with_mii_matches_predict() {
+        let d = dfg();
+        let arch = presets::s4();
+        let mii = ptmap_mapper::mii(&d, &arch);
+        let gnn = GnnPredictor::new(ptmap_gnn::PtMapGnn::new(ptmap_gnn::ModelConfig {
+            hidden: 8,
+            ..ptmap_gnn::ModelConfig::default()
+        }));
+        let predictors: [&dyn IiPredictor; 3] =
+            [&AnalyticalPredictor, &OraclePredictor::default(), &gnn];
+        for p in predictors {
+            assert_eq!(p.predict_with_mii(&d, &arch, mii), p.predict(&d, &arch));
+        }
     }
 
     #[test]

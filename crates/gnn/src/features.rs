@@ -48,15 +48,26 @@ pub struct GnnInput {
 
 /// Builds the full-featured input for a DFG/architecture pair.
 pub fn build_input(dfg: &Dfg, arch: &CgraArch) -> GnnInput {
+    build_input_with_mii(dfg, arch, ptmap_mapper::mii(dfg, arch))
+}
+
+/// [`build_input`] for a caller that already knows the DFG's MII
+/// (`ptmap_mapper::mii(dfg, arch)`), sparing a second computation.
+pub fn build_input_with_mii(dfg: &Dfg, arch: &CgraArch, mii: u32) -> GnnInput {
     let n = dfg.len();
-    let asap = dfg.asap();
-    let alap = dfg.alap();
+    let (asap, alap, critical_path) = dfg.schedule();
+    let mut in_degree = vec![0usize; n];
+    let mut out_degree = vec![0usize; n];
+    for e in dfg.edges() {
+        in_degree[e.dst.index()] += 1;
+        out_degree[e.src.index()] += 1;
+    }
     let mut sw_x = Matrix::zeros(n, SW_FEATS);
     for (i, node) in dfg.nodes().iter().enumerate() {
         sw_x.set(i, node.op.code(), 1.0);
         let base = OpKind::ALL.len();
-        sw_x.set(i, base, dfg.in_degree(node.id) as f32 / 4.0);
-        sw_x.set(i, base + 1, dfg.out_degree(node.id) as f32 / 4.0);
+        sw_x.set(i, base, in_degree[i] as f32 / 4.0);
+        sw_x.set(i, base + 1, out_degree[i] as f32 / 4.0);
         sw_x.set(i, base + 2, asap[i] as f32 / 16.0);
         sw_x.set(i, base + 3, alap[i] as f32 / 16.0);
         sw_x.set(i, base + 4, node.latency() as f32 / 4.0);
@@ -104,11 +115,11 @@ pub fn build_input(dfg: &Dfg, arch: &CgraArch) -> GnnInput {
     }
     let hw_adj = sym_normalize(&adj);
 
-    let mii = ptmap_mapper::mii(dfg, arch);
+    let max_fanout = out_degree.iter().copied().max().unwrap_or(0);
     let vec = Matrix::row(vec![
         mii as f32 / 16.0,
-        dfg.max_fanout() as f32 / 8.0,
-        dfg.critical_path() as f32 / 32.0,
+        max_fanout as f32 / 8.0,
+        critical_path as f32 / 32.0,
     ]);
 
     GnnInput {
@@ -121,17 +132,14 @@ pub fn build_input(dfg: &Dfg, arch: &CgraArch) -> GnnInput {
     }
 }
 
-/// Zeroes the extended attributes, producing the GNN-b ablation's input.
-pub fn strip_extended(input: &GnnInput) -> GnnInput {
-    let mut out = input.clone();
-    for i in 0..out.sw_x.rows() {
-        for j in SW_EXT_START..SW_FEATS {
-            out.sw_x.set(i, j, 0.0);
-        }
-    }
-    for i in 0..out.hw_x.rows() {
-        for j in HW_EXT_START..HW_FEATS {
-            out.hw_x.set(i, j, 0.0);
+/// A copy of `m` with every column from `start` on set to zero: with
+/// [`SW_EXT_START`] or [`HW_EXT_START`], the GNN-b ablation's node
+/// features (extended attributes zeroed).
+pub(crate) fn zero_cols_from(m: &Matrix, start: usize) -> Matrix {
+    let mut out = m.clone();
+    for i in 0..out.rows() {
+        for j in start..out.cols() {
+            out.set(i, j, 0.0);
         }
     }
     out
@@ -209,18 +217,30 @@ mod tests {
     }
 
     #[test]
-    fn strip_extended_zeroes_only_extended() {
+    fn zero_cols_from_strips_only_extended() {
         let dfg = sample_dfg();
         let input = build_input(&dfg, &presets::s4());
-        let basic = strip_extended(&input);
+        let sw = zero_cols_from(&input.sw_x, SW_EXT_START);
         // Base one-hot preserved.
-        for i in 0..basic.sw_x.rows() {
-            let onehot: f32 = (0..OpKind::ALL.len()).map(|j| basic.sw_x.get(i, j)).sum();
+        for i in 0..sw.rows() {
+            let onehot: f32 = (0..OpKind::ALL.len()).map(|j| sw.get(i, j)).sum();
             assert_eq!(onehot, 1.0);
             for j in SW_EXT_START..SW_FEATS {
-                assert_eq!(basic.sw_x.get(i, j), 0.0);
+                assert_eq!(sw.get(i, j), 0.0);
             }
         }
-        assert_ne!(&basic, &input);
+        assert_ne!(sw, input.sw_x);
+        let hw = zero_cols_from(&input.hw_x, HW_EXT_START);
+        for i in 0..hw.rows() {
+            for j in 0..HW_FEATS {
+                let want = if j < HW_EXT_START {
+                    input.hw_x.get(i, j)
+                } else {
+                    0.0
+                };
+                assert_eq!(hw.get(i, j), want);
+            }
+        }
+        assert_ne!(hw, input.hw_x);
     }
 }

@@ -46,8 +46,8 @@ pub mod tensor;
 pub mod train;
 
 pub use dataset::{DatasetConfig, Sample};
-pub use features::{build_input, GnnInput};
-pub use model::{GnnVariant, ModelConfig, Prediction, PtMapGnn};
+pub use features::{build_input, build_input_with_mii, GnnInput};
+pub use model::{GnnVariant, Heads, ModelConfig, Prediction, PtMapGnn};
 pub use tensor::Matrix;
 pub use train::{
     fine_tune, mape_cycles, mape_cycles_detailed, mape_cycles_mii, mape_cycles_mii_detailed, train,

@@ -82,21 +82,29 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
+    /// Every output element accumulates its `k` terms in ascending order
+    /// starting from `+0.0`, skipping zero left-hand entries; the GNN's
+    /// bit-identity contract (see DESIGN.md) relies on that order.
+    ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul inner dims");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
+        if rhs.cols == 0 || self.cols == 0 {
+            return out;
+        }
+        for (a_row, out_row) in self
+            .data
+            .chunks_exact(self.cols)
+            .zip(out.data.chunks_exact_mut(rhs.cols))
+        {
+            for (&a, b_row) in a_row.iter().zip(rhs.data.chunks_exact(rhs.cols)) {
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..rhs.cols {
-                    out.data[i * rhs.cols + j] += a * rhs.data[k * rhs.cols + j];
-                }
+                axpy(out_row, a, b_row);
             }
         }
         out
@@ -137,10 +145,13 @@ impl Matrix {
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
     }
+}
 
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
+/// `y += a * x` element-wise (equal lengths); one multiply and one add
+/// per element, so the compiler may vectorise it without reordering.
+pub(crate) fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
+    for (o, &b) in y.iter_mut().zip(x) {
+        *o += a * b;
     }
 }
 
@@ -167,6 +178,32 @@ mod tests {
         let b = Matrix::from_vec(3, 1, vec![1.0, 1.0, 1.0]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[6.0, 15.0]);
+    }
+
+    #[test]
+    fn matmul_matches_the_scalar_triple_loop_bitwise() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4);
+        for (n, k, m) in [(1, 1, 1), (3, 7, 5), (17, 33, 9), (2, 0, 3), (0, 4, 2)] {
+            // Sprinkle exact zeros so the skip path is exercised.
+            let a = Matrix::xavier(n, k, &mut rng).map(|x| if x.abs() < 0.2 { 0.0 } else { x });
+            let b = Matrix::xavier(k, m, &mut rng);
+            let mut want = Matrix::zeros(n, m);
+            for i in 0..n {
+                for kk in 0..k {
+                    let x = a.get(i, kk);
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for j in 0..m {
+                        want.set(i, j, want.get(i, j) + x * b.get(kk, j));
+                    }
+                }
+            }
+            let got = a.matmul(&b);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!((got.rows(), got.cols()), (n, m));
+            assert_eq!(bits(&got), bits(&want), "{n}x{k} * {k}x{m}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use ptmap_arch::presets;
 use ptmap_gnn::dataset::{generate_dataset, DatasetConfig};
 use ptmap_gnn::model::{GnnVariant, ModelConfig, PtMapGnn};
-use ptmap_gnn::train::{train, TrainConfig};
+use ptmap_gnn::train::{fine_tune, train, TrainConfig};
 
 #[test]
 fn serde_round_trip_preserves_predictions() {
@@ -65,6 +65,39 @@ fn byte_encoding_is_deterministic() {
     assert_eq!(b1, b2, "decode/encode must be byte-identical");
     for s in &data {
         assert_eq!(model.predict(&s.input), restored.predict(&s.input));
+    }
+}
+
+#[test]
+fn fine_tuned_model_predicts_like_its_round_trip() {
+    // Prediction memoises the G_hw branch inside the model; fine-tuning
+    // must invalidate it, so the tuned model predicts exactly like a
+    // fresh decode of itself (which starts with an empty memo).
+    let data = generate_dataset(&DatasetConfig {
+        samples: 12,
+        archs: vec![presets::s4(), presets::sl8()],
+        seed: 35,
+        ..DatasetConfig::default()
+    });
+    let mut model = PtMapGnn::new(ModelConfig {
+        hidden: 8,
+        ..ModelConfig::default()
+    });
+    let before: Vec<_> = data.iter().map(|s| model.infer(&s.input)).collect();
+    fine_tune(
+        &mut model,
+        &data,
+        &TrainConfig {
+            epochs: 2,
+            ..TrainConfig::default()
+        },
+    );
+    let copy = PtMapGnn::from_bytes(&model.to_bytes()).expect("decode");
+    for (s, old) in data.iter().zip(&before) {
+        let heads = model.infer(&s.input);
+        assert_eq!(heads, copy.infer(&s.input));
+        assert_ne!(&heads, old, "fine-tuning must change the raw heads");
+        assert_eq!(model.predict(&s.input), copy.predict(&s.input));
     }
 }
 

@@ -209,37 +209,27 @@ impl Dfg {
     /// Panics if the distance-0 subgraph has a cycle (a malformed DFG;
     /// [`validate`](Self::validate) catches this).
     pub fn asap(&self) -> Vec<u32> {
-        let order = self
-            .topo_order_dist0()
-            .expect("dist-0 subgraph must be acyclic");
-        let mut asap = vec![0u32; self.nodes.len()];
-        for &n in &order {
-            for e in self
-                .edges
-                .iter()
-                .filter(|e| e.dist == 0 && e.dst.index() == n)
-            {
-                let src = e.src.index();
-                let cand = asap[src] + self.nodes[src].latency();
-                asap[n] = asap[n].max(cand);
-            }
-        }
-        asap
+        self.asap_in(&self.acyclic_order())
     }
 
     /// ALAP start times against the ASAP schedule length.
     pub fn alap(&self) -> Vec<u32> {
-        let asap = self.asap();
-        let horizon = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| asap[i] + n.latency())
-            .max()
-            .unwrap_or(0);
-        let order = self
-            .topo_order_dist0()
-            .expect("dist-0 subgraph must be acyclic");
+        self.schedule().1
+    }
+
+    /// Length of the critical path (cycles) through distance-0 edges,
+    /// including the latency of the last node.
+    pub fn critical_path(&self) -> u32 {
+        self.horizon(&self.asap())
+    }
+
+    /// [`asap`](Self::asap), [`alap`](Self::alap) and
+    /// [`critical_path`](Self::critical_path) from one topological sort
+    /// and one ASAP pass.
+    pub fn schedule(&self) -> (Vec<u32>, Vec<u32>, u32) {
+        let order = self.acyclic_order();
+        let asap = self.asap_in(&order);
+        let horizon = self.horizon(&asap);
         let mut alap: Vec<u32> = self
             .nodes
             .iter()
@@ -255,13 +245,32 @@ impl Dfg {
                 alap[n] = alap[n].min(cand);
             }
         }
-        alap
+        (asap, alap, horizon)
     }
 
-    /// Length of the critical path (cycles) through distance-0 edges,
-    /// including the latency of the last node.
-    pub fn critical_path(&self) -> u32 {
-        let asap = self.asap();
+    fn acyclic_order(&self) -> Vec<usize> {
+        self.topo_order_dist0()
+            .expect("dist-0 subgraph must be acyclic")
+    }
+
+    fn asap_in(&self, order: &[usize]) -> Vec<u32> {
+        let mut asap = vec![0u32; self.nodes.len()];
+        for &n in order {
+            for e in self
+                .edges
+                .iter()
+                .filter(|e| e.dist == 0 && e.dst.index() == n)
+            {
+                let src = e.src.index();
+                let cand = asap[src] + self.nodes[src].latency();
+                asap[n] = asap[n].max(cand);
+            }
+        }
+        asap
+    }
+
+    /// The ASAP schedule length: latest finish over all nodes.
+    fn horizon(&self, asap: &[u32]) -> u32 {
         self.nodes
             .iter()
             .enumerate()

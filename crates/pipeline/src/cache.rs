@@ -3,8 +3,8 @@
 //! The cache key is the hex SHA-256 of the canonical JSON of everything
 //! that determines a compilation's result: the program IR, the
 //! architecture description, the predictor identity (for the GNN, a
-//! hash of the full parameter checkpoint), the ranking mode, and the
-//! result-affecting [`PtMapConfig`] fields (throughput knobs such as
+//! digest of its configuration and parameter bits), the ranking mode,
+//! and the result-affecting [`PtMapConfig`] fields (throughput knobs such as
 //! `eval_workers` are `#[serde(skip)]`ed out of the config's
 //! serialization and therefore out of the key). Canonicalization sorts
 //! every object recursively, so key equality is structural, not
@@ -43,7 +43,10 @@ use std::sync::Mutex;
 /// `backend` (and exact-search step cap), so exact/portfolio results
 /// can never alias heuristic-cached entries; the bump invalidates
 /// pre-backend entries whose config serialization lacked the fields.
-const SCHEMA_VERSION: u64 = 3;
+/// Version 4: the GNN predictor's key is a digest of its configuration
+/// and parameter bits (shape + `f32::to_bits` per parameter) instead
+/// of a hash of the whole checkpoint JSON, Adam moments included.
+const SCHEMA_VERSION: u64 = 4;
 
 /// Derives the content-addressed key for one job under a base config.
 pub fn cache_key(job: &Job, base: &PtMapConfig) -> String {

@@ -26,7 +26,7 @@
 //! Predictors: `analytical` (default), `oracle`, or `gnn:<model.json>`
 //! for a trained checkpoint saved by the bench harness.
 
-use crate::hash::sha256_hex;
+use crate::hash::{hex, sha256};
 use ptmap_arch::{presets, CgraArch};
 use ptmap_core::{PtMap, PtMapConfig};
 use ptmap_eval::{AnalyticalPredictor, GnnPredictor, IiPredictor, OraclePredictor, RankMode};
@@ -133,21 +133,42 @@ impl PredictorSpec {
     }
 
     /// The predictor's contribution to the cache key. For the GNN this
-    /// hashes the full parameter checkpoint: two different trainings of
-    /// the same architecture must not share cache entries.
+    /// is a digest of its configuration and parameter bits
+    /// (`gnn_key_digest`): two different trainings of the same
+    /// architecture must not share cache entries.
     pub fn key_value(&self) -> Value {
         match self {
             PredictorSpec::Analytical => Value::Str("analytical".to_string()),
             PredictorSpec::Oracle => Value::Str("oracle".to_string()),
-            PredictorSpec::Gnn(model) => {
-                let canon = serde_json::to_value(model.as_ref())
-                    .expect("model serializes")
-                    .canonicalize();
-                let text = serde_json::to_string(&canon).expect("canonical value serializes");
-                Value::Str(format!("gnn:{}", sha256_hex(&text)))
-            }
+            PredictorSpec::Gnn(model) => Value::Str(format!("gnn:{}", gnn_key_digest(model))),
         }
     }
+}
+
+/// SHA-256 over a model's configuration (canonical JSON) and, for each
+/// parameter in [`PtMapGnn::params`] order, its shape and the bits of
+/// its values. Exactly what decides the model's predictions enters:
+/// Adam moments and the checkpoint's JSON formatting do not, so
+/// checkpoints with equal weights share cache entries.
+fn gnn_key_digest(model: &PtMapGnn) -> String {
+    let config = serde_json::to_value(&model.config)
+        .expect("model config serializes")
+        .canonicalize();
+    let config = serde_json::to_string(&config).expect("canonical value serializes");
+    let params = model.params();
+    let mut buf =
+        Vec::with_capacity(8 + config.len() + 16 * params.len() + 4 * model.param_count());
+    buf.extend((config.len() as u64).to_le_bytes());
+    buf.extend(config.as_bytes());
+    for p in params {
+        let m = &p.value;
+        buf.extend((m.rows() as u64).to_le_bytes());
+        buf.extend((m.cols() as u64).to_le_bytes());
+        for x in m.as_slice() {
+            buf.extend(x.to_bits().to_le_bytes());
+        }
+    }
+    hex(&sha256(&buf))
 }
 
 /// A fully resolved job, ready to schedule.
@@ -311,5 +332,63 @@ mod tests {
         )
         .unwrap();
         assert!(m.resolve().is_err());
+    }
+
+    fn small_gnn(seed: u64) -> PtMapGnn {
+        PtMapGnn::new(ptmap_gnn::ModelConfig {
+            hidden: 8,
+            seed,
+            ..ptmap_gnn::ModelConfig::default()
+        })
+    }
+
+    fn gnn_key(model: &PtMapGnn) -> Value {
+        PredictorSpec::Gnn(Box::new(model.clone())).key_value()
+    }
+
+    #[test]
+    fn gnn_key_changes_with_the_weights() {
+        assert_ne!(gnn_key(&small_gnn(1)), gnn_key(&small_gnn(2)));
+        let mut nudged = small_gnn(1);
+        let first = &mut nudged.params_mut()[0].value;
+        first.set(0, 0, first.get(0, 0) + 1e-6);
+        assert_ne!(gnn_key(&small_gnn(1)), gnn_key(&nudged));
+    }
+
+    #[test]
+    fn gnn_key_ignores_adam_moments() {
+        let model = small_gnn(1);
+        let samples = ptmap_gnn::dataset::generate_dataset(&ptmap_gnn::DatasetConfig {
+            samples: 4,
+            archs: vec![presets::s4()],
+            ..ptmap_gnn::DatasetConfig::default()
+        });
+        // A zero learning rate moves the Adam moments but no weight.
+        let mut moved = model.clone();
+        ptmap_gnn::fine_tune(
+            &mut moved,
+            &samples,
+            &ptmap_gnn::TrainConfig {
+                lr: 0.0,
+                epochs: 1,
+                ..ptmap_gnn::TrainConfig::default()
+            },
+        );
+        assert_ne!(moved.to_bytes(), model.to_bytes(), "moments must differ");
+        assert_eq!(gnn_key(&moved), gnn_key(&model));
+    }
+
+    #[test]
+    fn gnn_key_ignores_checkpoint_formatting() {
+        let model = small_gnn(3);
+        let path = std::env::temp_dir().join(format!("ptmap-key-{}.json", std::process::id()));
+        std::fs::write(&path, serde_json::to_string_pretty(&model).unwrap()).unwrap();
+        let parsed = PredictorSpec::parse(&format!("gnn:{}", path.display()));
+        let _ = std::fs::remove_file(&path);
+        let parsed = parsed.unwrap();
+        assert!(matches!(parsed, PredictorSpec::Gnn(_)));
+        assert_eq!(parsed.key_value(), gnn_key(&model));
+        let reparsed = PtMapGnn::from_bytes(&model.to_bytes()).unwrap();
+        assert_eq!(gnn_key(&reparsed), gnn_key(&model));
     }
 }

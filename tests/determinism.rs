@@ -113,6 +113,31 @@ fn sharded_evaluation_does_not_change_batch_output() {
 }
 
 #[test]
+fn sharded_gnn_evaluation_matches_serial() {
+    // The GNN predictor memoises its G_hw branch inside the shared
+    // model; evaluation workers racing on that memo must not change a
+    // single prediction.
+    let json = r#"{
+        "jobs": [
+            { "kernel": "app:TMM", "arch": "S4", "predictor": "gnn:results/gnn_full_3000_120.json" },
+            { "kernel": "gemm:8", "arch": "SL8", "predictor": "gnn:results/gnn_full_3000_120.json" }
+        ]
+    }"#;
+    let jobs = Manifest::from_json(json).unwrap().resolve().unwrap();
+    assert!(jobs.iter().all(|j| j.degraded.is_none()));
+    let with_workers = |eval_workers| BatchConfig {
+        base: PtMapConfig {
+            eval_workers,
+            ..PtMapConfig::default()
+        },
+        ..BatchConfig::default()
+    };
+    let serial = run_batch(&jobs, &with_workers(1));
+    let sharded = run_batch(&jobs, &with_workers(2));
+    assert_eq!(serial.deterministic_json(), sharded.deterministic_json());
+}
+
+#[test]
 fn predictor_identity_separates_cache_entries() {
     // Same kernel+arch under two predictors must occupy distinct cache
     // slots: a shared cache across heterogeneous manifests must never
