@@ -48,8 +48,8 @@ pub use cache::{cache_key, request_key, ReportCache};
 pub use manifest::{Job, JobSpec, Manifest, PredictorSpec};
 pub use metrics::{BatchMetrics, JobMetrics, Recorder, SpanStat};
 pub use scheduler::{
-    compile_job, compile_job_traced, run_batch, run_batch_with_cache, BatchConfig, BatchReport,
-    JobOutcome, TraceSettings,
+    compile_job, compile_job_keyed, compile_job_traced, run_batch, run_batch_with_cache,
+    BatchConfig, BatchReport, JobOutcome, TraceSettings,
 };
 
 /// Locks a mutex, recovering from poisoning.

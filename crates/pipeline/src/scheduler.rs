@@ -24,7 +24,7 @@
 //! and any outcome produced that way carries the degradation label
 //! (which is also part of its cache key).
 
-use crate::cache::{cache_key_degraded, ReportCache};
+use crate::cache::{cache_key_degraded, request_key, ReportCache};
 use crate::manifest::Job;
 use crate::metrics::{BatchMetrics, JobMetrics, Recorder};
 use ptmap_core::{CompileMetrics, CompileReport, PtMapConfig, PtMapError};
@@ -406,8 +406,31 @@ pub fn compile_job_traced(
     recorder: &Recorder,
     tracer: &Tracer,
 ) -> (JobOutcome, JobMetrics) {
+    compile_job_keyed(
+        job,
+        config,
+        cache,
+        recorder,
+        tracer,
+        &request_key(job, &config.base),
+    )
+}
+
+/// [`compile_job_traced`] for a caller that already holds the job's
+/// [`request_key`] under `config.base` (the daemon derives it to
+/// coalesce on): attempt 0 reads and writes the cache under `key`
+/// instead of hashing the job again. Retry-ladder rungs still derive
+/// their own degraded keys.
+pub fn compile_job_keyed(
+    job: &Job,
+    config: &BatchConfig,
+    cache: &ReportCache,
+    recorder: &Recorder,
+    tracer: &Tracer,
+    key: &str,
+) -> (JobOutcome, JobMetrics) {
     faultpoint::with_scope(&job.name, || {
-        run_one_scoped(job, config, cache, recorder, tracer)
+        run_one_scoped(job, config, cache, recorder, tracer, key)
     })
 }
 
@@ -460,13 +483,14 @@ fn sanitize_file_stem(name: &str) -> String {
 
 /// The retry-ladder driver: walks attempts 0..=max_retries, each under
 /// a fresh child budget and with panic isolation; only timeouts and
-/// panics descend the ladder.
+/// panics descend the ladder. `attempt0_key` is attempt 0's cache key.
 fn run_one_scoped(
     job: &Job,
     config: &BatchConfig,
     cache: &ReportCache,
     recorder: &Recorder,
     tracer: &Tracer,
+    attempt0_key: &str,
 ) -> (JobOutcome, JobMetrics) {
     let t0 = Instant::now();
     let mut stages = CompileMetrics::default();
@@ -509,7 +533,10 @@ fn run_one_scoped(
             (None, Some(r)) => Some(r.clone()),
             (Some(d), Some(r)) => Some(format!("{d},{r}")),
         };
-        let key = cache_key_degraded(job, &cfg, label.as_deref());
+        let key = match attempt {
+            0 => attempt0_key.to_string(),
+            _ => cache_key_degraded(job, &cfg, label.as_deref()),
+        };
         let attempt_span = root.tracer().span("attempt");
         attempt_span.attr("attempt", attempt as u64);
         if let Some(r) = &rung {

@@ -1,6 +1,6 @@
 //! The sharding gateway: one HTTP front for a cluster of daemons.
 //!
-//! `ptmap gateway` binds a [`Server`](crate::Server)-shaped accept loop
+//! `ptmap gateway` runs the [`Server`](crate::Server)'s accept loop
 //! but compiles nothing itself. Every `POST /compile` / `POST /jobs` is
 //! routed by its pipeline [`request_key`] over a consistent-hash
 //! [`HashRing`] of backend daemons, so one kernel always lands on the
@@ -34,6 +34,7 @@
 //! rollup scraped from live peers; `GET /cluster` is the membership
 //! introspection endpoint.
 
+use crate::accept::{self, Connections};
 use crate::client::{self, ClientError, PeerResponse};
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::metrics::{render_http_sections, ServiceMetrics};
@@ -58,7 +59,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Deadline for one health probe or metrics scrape of a peer.
@@ -217,8 +218,7 @@ struct GatewayState {
     root: Budget,
     stop: AtomicBool,
     draining: AtomicBool,
-    conns: Mutex<usize>,
-    conns_cv: Condvar,
+    conns: Arc<Connections>,
     requests: AtomicU64,
 }
 
@@ -296,19 +296,6 @@ pub struct Gateway {
     state: Arc<GatewayState>,
 }
 
-/// Decrements the open-connection count when a handler exits.
-struct ConnGuard {
-    state: Arc<GatewayState>,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        let mut conns = lock_unpoisoned(&self.state.conns);
-        *conns = conns.saturating_sub(1);
-        self.state.conns_cv.notify_all();
-    }
-}
-
 impl Gateway {
     /// Binds the listener and builds the ring. Fails if no peers were
     /// given — a gateway with nothing behind it can only say 503.
@@ -371,8 +358,7 @@ impl Gateway {
             root: Budget::cancellable(),
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            conns: Mutex::new(0),
-            conns_cv: Condvar::new(),
+            conns: Arc::default(),
             requests: AtomicU64::new(0),
             config,
         });
@@ -398,7 +384,8 @@ impl Gateway {
 
         // The health prober drives breaker transitions even when no
         // traffic is flowing, so recovery does not wait for a victim
-        // request.
+        // request. It parks between rounds; drain unparks it, so
+        // shutdown never waits out a probe interval.
         let prober = {
             let state = Arc::clone(&state);
             std::thread::Builder::new()
@@ -408,51 +395,30 @@ impl Gateway {
                         for idx in 0..state.peers.len() {
                             probe_peer(&state, idx);
                         }
-                        std::thread::sleep(state.config.probe_interval);
+                        std::thread::park_timeout(state.config.probe_interval);
                     }
                 })
                 .expect("spawn prober")
         };
 
-        loop {
-            if state.stop.load(Ordering::Acquire) || signal::shutdown_requested() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    *lock_unpoisoned(&state.conns) += 1;
-                    let state = Arc::clone(&state);
-                    let _ = std::thread::Builder::new()
-                        .name("ptmap-gw-conn".to_string())
-                        .spawn(move || {
-                            let _guard = ConnGuard {
-                                state: Arc::clone(&state),
-                            };
-                            handle_connection(&state, stream);
-                        });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    state.log.warn(
-                        "accept_error",
-                        None,
-                        &format!("accept: {e}; continuing"),
-                        &[],
-                    );
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-        }
+        // Accept loop (see `accept`): wakes when a connection arrives;
+        // sees a stop request within 50 ms and a signal at once.
+        let conn_state = Arc::clone(&state);
+        accept::serve(
+            &self.listener,
+            &state.conns,
+            &state.log,
+            "ptmap-gw-conn",
+            || state.stop.load(Ordering::Acquire),
+            move |stream| handle_connection(&conn_state, stream),
+        );
 
         // Drain: stop accepting, let in-flight forwards finish, then
         // cancel stragglers through the root budget.
         drop(self.listener);
         state.draining.store(true, Ordering::Release);
         let deadline = Instant::now() + state.config.drain_timeout;
-        let mut clean = wait_idle(&state, deadline);
+        let mut clean = state.conns.wait_idle(deadline, || true);
         if !clean {
             state.log.warn(
                 "drain_timeout",
@@ -461,25 +427,14 @@ impl Gateway {
                 &[("timeout_s", state.config.drain_timeout.as_secs().into())],
             );
             state.root.cancel();
-            clean = wait_idle(&state, Instant::now() + Duration::from_secs(10));
+            clean = state
+                .conns
+                .wait_idle(Instant::now() + Duration::from_secs(10), || true);
         }
+        prober.thread().unpark();
         let _ = prober.join();
 
-        for (endpoint, count, p50, p95, p99) in state.metrics.latency_quantiles() {
-            state.log.info(
-                "latency",
-                None,
-                "",
-                &[
-                    ("endpoint", AttrValue::Str(endpoint)),
-                    ("count", count.into()),
-                    ("p50_s", p50.into()),
-                    ("p95_s", p95.into()),
-                    ("p99_s", p99.into()),
-                ],
-            );
-        }
-        state.log.dump_to_stderr("drain");
+        state.metrics.log_drain(&state.log);
         eprintln!(
             "--- final metrics ---\n{}",
             render_gateway_metrics(&state, false)
@@ -497,26 +452,6 @@ impl Gateway {
             requeued: state.requeued.load(Ordering::Relaxed),
             clean,
         }
-    }
-}
-
-/// Waits until no connection is open, or `deadline` passes.
-fn wait_idle(state: &GatewayState, deadline: Instant) -> bool {
-    let mut conns = lock_unpoisoned(&state.conns);
-    loop {
-        if *conns == 0 {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        let wait = (deadline - now).min(Duration::from_millis(50));
-        conns = state
-            .conns_cv
-            .wait_timeout(conns, wait)
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .0;
     }
 }
 

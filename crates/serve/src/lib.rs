@@ -33,6 +33,7 @@
 //!   cancels, after the drain timeout, via the server-wide root budget)
 //!   everything in flight, flushes metrics, and exits 0.
 
+pub(crate) mod accept;
 pub mod client;
 pub mod coalesce;
 pub(crate) mod events;

@@ -13,6 +13,8 @@
 //! pipeline counters become `ptmap_pipeline_events_total{event="..."}`.
 
 use crate::lock_unpoisoned;
+use ptmap_trace::obs::EventLog;
+use ptmap_trace::AttrValue;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,6 +153,22 @@ impl ServiceMetrics {
                 )
             })
             .collect()
+    }
+
+    /// Logs one `latency` event per endpoint, then dumps the flight
+    /// recorder to stderr: the snapshot a drain leaves behind.
+    pub(crate) fn log_drain(&self, log: &EventLog) {
+        for (endpoint, count, p50, p95, p99) in self.latency_quantiles() {
+            let attrs = [
+                ("endpoint", AttrValue::Str(endpoint)),
+                ("count", count.into()),
+                ("p50_s", p50.into()),
+                ("p95_s", p95.into()),
+                ("p99_s", p99.into()),
+            ];
+            log.info("latency", None, "", &attrs);
+        }
+        log.dump_to_stderr("drain");
     }
 }
 

@@ -1,4 +1,4 @@
-//! The daemon: accept loop, request routing, worker pool, drain.
+//! The daemon: request routing, worker pool, drain.
 //!
 //! One [`ServerState`] holds everything resident: the report cache,
 //! the pipeline recorder, the flight table, the async job queue, and
@@ -8,18 +8,19 @@
 //! root, while cancelling the root (drain timeout) reaches every
 //! in-flight compile through the ancestor chain.
 
+use crate::accept::{self, Connections};
 use crate::coalesce::{Coalescer, Join};
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::jobs::{JobState, JobTable, SubmitError};
 use crate::metrics::{render, ServiceGauges, ServiceMetrics};
+use crate::signal;
 use crate::traces::TraceStore;
-use crate::{lock_unpoisoned, signal};
 use ptmap_core::PtMapConfig;
 use ptmap_governor::Budget;
 use ptmap_learn::{LearnConfig, LearnEngine};
 use ptmap_mapper::BackendKind;
 use ptmap_pipeline::{
-    compile_job_traced, request_key, BatchConfig, Job, JobOutcome, JobSpec, Recorder, ReportCache,
+    compile_job_keyed, request_key, BatchConfig, Job, JobOutcome, JobSpec, Recorder, ReportCache,
 };
 use ptmap_trace::obs::{EventLog, Level, LogFormat};
 use ptmap_trace::{AttrValue, SamplePolicy, Tracer};
@@ -28,7 +29,7 @@ use std::io::Read;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How the daemon is configured (flags + defaults).
@@ -137,8 +138,7 @@ pub(crate) struct ServerState {
     /// Async worker threads currently alive.
     workers_alive: AtomicUsize,
     /// Open HTTP connections (drain waits for zero).
-    conns: Mutex<usize>,
-    conns_cv: Condvar,
+    conns: Arc<Connections>,
     /// Monotonic id handed to jobs submitted via `/compile` has no
     /// meaning; this counts *requests* for the drain summary.
     requests: AtomicU64,
@@ -210,20 +210,6 @@ impl ServerHandle {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
-}
-
-/// Decrements the open-connection count (and wakes the drain waiter)
-/// when a handler thread exits, however it exits.
-struct ConnGuard {
-    state: Arc<ServerState>,
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        let mut conns = lock_unpoisoned(&self.state.conns);
-        *conns = conns.saturating_sub(1);
-        self.state.conns_cv.notify_all();
-    }
 }
 
 /// Decrements the in-flight leader count even if the compile panics.
@@ -397,8 +383,7 @@ impl Server {
             draining: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             workers_alive: AtomicUsize::new(0),
-            conns: Mutex::new(0),
-            conns_cv: Condvar::new(),
+            conns: Arc::default(),
             requests: AtomicU64::new(0),
             config,
         });
@@ -472,40 +457,17 @@ impl Server {
                 .expect("spawn learn trainer")
         });
 
-        // Accept loop: nonblocking so the shutdown flags are polled
-        // between accepts.
-        loop {
-            if state.stop.load(Ordering::Acquire) || signal::shutdown_requested() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    *lock_unpoisoned(&state.conns) += 1;
-                    let state = Arc::clone(&state);
-                    let _ = std::thread::Builder::new()
-                        .name("ptmap-conn".to_string())
-                        .spawn(move || {
-                            let _guard = ConnGuard {
-                                state: Arc::clone(&state),
-                            };
-                            handle_connection(&state, stream);
-                        });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    state.log.warn(
-                        "accept_error",
-                        None,
-                        &format!("accept: {e}; continuing"),
-                        &[],
-                    );
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-        }
+        // Accept loop (see `accept`): wakes when a connection arrives;
+        // sees a stop request within 50 ms and a signal at once.
+        let conn_state = Arc::clone(&state);
+        accept::serve(
+            &self.listener,
+            &state.conns,
+            &state.log,
+            "ptmap-conn",
+            || state.stop.load(Ordering::Acquire),
+            move |stream| handle_connection(&conn_state, stream),
+        );
 
         // Drain: stop accepting, let in-flight work finish, then
         // cancel stragglers through the root budget.
@@ -513,8 +475,10 @@ impl Server {
         state.draining.store(true, Ordering::Release);
         state.jobs.close();
 
+        // Idle: no open connection, no async job queued or running.
+        let jobs_idle = || state.jobs.active() == 0;
         let deadline = Instant::now() + state.config.drain_timeout;
-        let mut clean = wait_idle(&state, deadline);
+        let mut clean = state.conns.wait_idle(deadline, jobs_idle);
         if !clean {
             state.log.warn(
                 "drain_timeout",
@@ -529,7 +493,9 @@ impl Server {
             state.coalescer.cancel_all();
             // Cancellation is cooperative; give compiles a bounded
             // window to observe it.
-            clean = wait_idle(&state, Instant::now() + Duration::from_secs(10));
+            clean = state
+                .conns
+                .wait_idle(Instant::now() + Duration::from_secs(10), jobs_idle);
         }
         for worker in workers {
             let _ = worker.join();
@@ -541,21 +507,7 @@ impl Server {
         // Flush the final metrics snapshot and the flight recorder
         // where an operator (or the CI smoke test) can see them after
         // the port is gone.
-        for (endpoint, count, p50, p95, p99) in state.metrics.latency_quantiles() {
-            state.log.info(
-                "latency",
-                None,
-                "",
-                &[
-                    ("endpoint", AttrValue::Str(endpoint)),
-                    ("count", AttrValue::UInt(count)),
-                    ("p50_s", AttrValue::Float(p50)),
-                    ("p95_s", AttrValue::Float(p95)),
-                    ("p99_s", AttrValue::Float(p99)),
-                ],
-            );
-        }
-        state.log.dump_to_stderr("drain");
+        state.metrics.log_drain(&state.log);
         eprintln!("--- final metrics ---\n{}", state.render_metrics());
 
         DrainSummary {
@@ -564,29 +516,6 @@ impl Server {
             coalesced: state.coalescer.coalesced_total(),
             clean,
         }
-    }
-}
-
-/// Waits until no connection is open and no async job is queued or
-/// running, or `deadline` passes. Returns whether idle was reached.
-fn wait_idle(state: &ServerState, deadline: Instant) -> bool {
-    let mut conns = lock_unpoisoned(&state.conns);
-    loop {
-        if *conns == 0 && state.jobs.active() == 0 {
-            return true;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return false;
-        }
-        // The condvar covers connection changes; job-table changes are
-        // picked up by the bounded wait.
-        let wait = (deadline - now).min(Duration::from_millis(50));
-        conns = state
-            .conns_cv
-            .wait_timeout(conns, wait)
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .0;
     }
 }
 
@@ -757,12 +686,15 @@ fn handle_compile(state: &Arc<ServerState>, request: &Request, stream: &TcpStrea
                 Some(id) => Tracer::root_with_id(&job.name, id.clone()),
                 None => Tracer::root(&job.name),
             };
-            let (outcome, _job_metrics) = compile_job_traced(
+            // The coalescing key is attempt 0's cache key: pass it on
+            // so a cache hit hashes the job once.
+            let (outcome, _job_metrics) = compile_job_keyed(
                 &job,
                 &leader_batch_config(state, base, &flight),
                 &state.cache,
                 &state.recorder,
                 &tracer,
+                &key,
             );
             drop(guard);
             // A cache hit never started a mapper run; the compile
@@ -878,12 +810,13 @@ fn run_async_job(state: &Arc<ServerState>, spec: &JobSpec) -> JobOutcome {
             let guard = InflightGuard { state };
             let t0 = Instant::now();
             let tracer = Tracer::root(&job.name);
-            let (outcome, _metrics) = compile_job_traced(
+            let (outcome, _metrics) = compile_job_keyed(
                 &job,
                 &leader_batch_config(state, state.config.base.clone(), &flight),
                 &state.cache,
                 &state.recorder,
                 &tracer,
+                &key,
             );
             drop(guard);
             if !outcome.cache_hit {

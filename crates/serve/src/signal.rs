@@ -5,12 +5,14 @@
 //! crate in the workspace, so instead we declare libc's `signal(2)`
 //! directly (it is in every libc the workspace builds against) and do
 //! nothing in the handler but store into an `AtomicBool` — the one
-//! operation that is unconditionally async-signal-safe. The accept
-//! loop polls the flag between `accept` attempts.
+//! operation that is unconditionally async-signal-safe. The shared
+//! accept loop (`accept`) checks the flag before every `accept`; the
+//! signal also ends its readiness wait early, since `poll(2)` returns
+//! `EINTR` once a handler has run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler (or [`request_shutdown`]); polled by the
+/// Set by the signal handler (or [`request_shutdown`]); checked by the
 /// accept loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 

@@ -801,3 +801,20 @@ fn gateway_flight_recorder_replays_schema_valid_events() {
     gw.stop();
     daemon.stop();
 }
+
+#[test]
+fn idle_gateway_shutdown_does_not_wait_out_the_probe_interval() {
+    // No peer listens on port 1, so each probe round fails at once and
+    // the prober spends the run parked in its 5 s interval.
+    let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
+    let gw = Gw::boot(&[dead], |c| c.probe_interval = Duration::from_secs(5));
+    std::thread::sleep(Duration::from_millis(300));
+    let t0 = Instant::now();
+    let summary = gw.stop();
+    let took = t0.elapsed();
+    assert!(summary.clean);
+    assert!(
+        took < Duration::from_secs(2),
+        "drain must not wait out the probe interval, took {took:?}"
+    );
+}

@@ -753,3 +753,92 @@ fn draining_server_refuses_new_work() {
         }
     );
 }
+
+#[test]
+fn idle_shutdown_returns_within_a_second() {
+    let (_addr, handle, runner) = boot(ServeConfig::default());
+    // Let the accept loop settle into its readiness wait.
+    std::thread::sleep(Duration::from_millis(200));
+    let t0 = Instant::now();
+    handle.shutdown();
+    let summary = runner.join().unwrap();
+    let took = t0.elapsed();
+    assert!(summary.clean);
+    assert!(
+        took < Duration::from_secs(1),
+        "an idle daemon must drain promptly, took {took:?}"
+    );
+}
+
+/// The report-cache keys (file stems) written under `dir`.
+fn cache_keys(dir: &std::path::Path) -> std::collections::BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                .filter_map(|name| name.strip_suffix(".json").map(str::to_string))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+#[test]
+fn daemon_key_is_the_pipeline_attempt0_key() {
+    use ptmap_pipeline::{compile_job_traced, BatchConfig, Job, JobSpec, Recorder, ReportCache};
+    let root = std::env::temp_dir().join(format!("ptmap-serve-keys-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    // (case, X-Ptmap-Quality, predictor): the last predictor cannot
+    // load, so resolution degrades it to the analytical one.
+    let cases = [
+        ("default", None, None),
+        ("exact", Some("exact"), None),
+        ("degraded", None, Some("gnn:/nonexistent/model.json")),
+    ];
+    for (case, quality, predictor) in cases {
+        let spec = match predictor {
+            None => r#"{"name":"k","kernel":"vecsum:8","arch":"S4"}"#.to_string(),
+            Some(p) => {
+                format!(r#"{{"name":"k","kernel":"vecsum:8","arch":"S4","predictor":"{p}"}}"#)
+            }
+        };
+        let headers: Vec<(&str, &str)> = quality
+            .map(|q| ("X-Ptmap-Quality", q))
+            .into_iter()
+            .collect();
+        // The daemon compiles under the key it coalesced on.
+        let daemon_dir = root.join(case).join("daemon");
+        let (addr, handle, runner) = boot(ServeConfig {
+            cache_dir: Some(daemon_dir.clone()),
+            ..ServeConfig::default()
+        });
+        let reply = http(addr, "POST", "/compile", &headers, &spec);
+        assert_eq!(reply.status, 200, "{case}: {}", reply.body);
+        handle.shutdown();
+        runner.join().unwrap();
+
+        // The pipeline's own entry point derives attempt 0's key itself.
+        let pipeline_dir = root.join(case).join("pipeline");
+        let job = Job::resolve(&serde_json::from_str::<JobSpec>(&spec).unwrap()).unwrap();
+        assert_eq!(job.degraded.is_some(), case == "degraded", "{case}");
+        let mut base = ServeConfig::default().base;
+        if let Some(q) = quality {
+            base.mapper.backend = q.parse().unwrap();
+        }
+        let (outcome, _) = compile_job_traced(
+            &job,
+            &BatchConfig {
+                base,
+                ..BatchConfig::default()
+            },
+            &ReportCache::with_dir(&pipeline_dir).unwrap(),
+            &Recorder::new(),
+            &ptmap_trace::Tracer::disabled(),
+        );
+        assert!(outcome.report.is_some(), "{case}: {:?}", outcome.error);
+
+        let daemon_keys = cache_keys(&daemon_dir);
+        assert_eq!(daemon_keys.len(), 1, "{case}: {daemon_keys:?}");
+        assert_eq!(daemon_keys, cache_keys(&pipeline_dir), "{case}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
